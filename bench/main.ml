@@ -1099,7 +1099,7 @@ let net () =
 (* ---------------------------------------------------------------------- *)
 (* Streaming capstone: 100k+ submissions through a sharded TCP deployment  *)
 (* with epoch rotation keeping server memory flat, persistent client       *)
-(* sessions, and a mid-run follower crash restored from its checkpoint.    *)
+(* sessions, and a mid-epoch follower crash restored from snapshot+journal.*)
 (* ---------------------------------------------------------------------- *)
 
 (* Resident set of a live process from /proc/<pid>/statm (pages; Linux
@@ -1131,12 +1131,12 @@ let streaming () =
   in
   let per_shard = total_n / shards in
   let epoch_size = 2_500 in
-  (* kill the follower when shard 0 sits exactly on an epoch boundary:
-     rotation snapshots the server, so with the stream paused and the
-     event loop drained the latest checkpoint is current and the restore
-     is lossless — the strongest consistency claim a crash drill can
-     assert without two-phase decision broadcast *)
-  let crash_after = per_shard / 2 / epoch_size * epoch_size in
+  (* kill the follower mid-epoch, with no pause: its last snapshot is the
+     previous rotation, so the restore must replay the journal suffix —
+     every decision acked before the kill was journaled first *)
+  let crash_after =
+    (per_shard / 2 / epoch_size * epoch_size) + (epoch_size / 2)
+  in
   let ckpt_dirs =
     Array.init shards (fun i ->
         let dir =
@@ -1155,9 +1155,6 @@ let streaming () =
               default_tuning with
               epoch_size;
               checkpoint_dir = Some ckpt_dirs.(i);
-              (* rotation is the snapshot trigger; per-decision snapshots
-                 would fsync once per submission *)
-              checkpoint_every = max_int;
             }
         in
         let cfg =
@@ -1200,9 +1197,6 @@ let streaming () =
       let done0 = accepted.(0) in
       if (not !crashed) && done0 = crash_after then begin
         crashed := true;
-        (* pause: let the follower drain its decision queue and finish the
-           boundary snapshot before the lights go out *)
-        Unix.sleepf 0.3;
         Unix.kill (shard0_follower ()) Sys.sigkill;
         let rec wait_dead () =
           match (Net.poll_servers deployments.(0)).(1) with
@@ -1280,29 +1274,31 @@ let streaming () =
                     Some (Printf.sprintf "%s_%s_s" stage q, Fl v)
                   | _ -> None)
                 [ "p50"; "p95"; "p99" ])
-            [ "admit"; "verify"; "aggregate"; "checkpoint" ]
+            [ "admit"; "verify"; "aggregate" ]
         in
         (* the durability price of the two-phase commit: every decision
-           is write-ahead journaled + fsynced before it is acked. The
-           mean is band-checked; the worst single fsync and the append
-           count are presence-only (`*_max_s` / `*_count`). *)
-        let journal =
-          (match json_member "prio_journal_appends_total" report with
-          | Some (Jnum v) -> [ ("journal_appends_count", I (int_of_float v)) ]
-          | _ -> [])
-          @
-          match json_member "prio_journal_fsync_seconds" report with
+           is write-ahead journaled (encode, MAC, write, fsync) before it
+           is acked, and a snapshot compacts the journal at each epoch
+           rotation. Means are band-checked; the worst single call and
+           the counts are presence-only (`*_max_s` / `*_count`). *)
+        let mean_max name key =
+          match json_member name report with
           | Some h -> (
             match
               (json_member "count" h, json_member "sum" h, json_member "max" h)
             with
             | Some (Jnum c), Some (Jnum s), Some (Jnum m) when c > 0. ->
               [
-                ("journal_fsync_mean_s", Fl (s /. c));
-                ("journal_fsync_max_s", Fl m);
+                (key ^ "_mean_s", Fl (s /. c));
+                (key ^ "_max_s", Fl m);
+                (key ^ "_count", I (int_of_float c));
               ]
             | _ -> [])
           | None -> []
+        in
+        let journal =
+          mean_max "prio_journal_append_seconds" "journal_append"
+          @ mean_max "prio_ckpt_write_seconds" "ckpt_write"
         in
         (stages, journal))
   in
@@ -1316,13 +1312,16 @@ let streaming () =
               Printf.sprintf " %s=%s" k
                 (match v with Fl f -> pretty_time f | _ -> "?"))
             fs)));
-  (match List.assoc_opt "journal_fsync_mean_s" journal_fields with
-  | Some (Fl mean) ->
-    Printf.printf "  journal fsync: mean=%s%s\n" (pretty_time mean)
-      (match List.assoc_opt "journal_appends_count" journal_fields with
-      | Some (I n) -> Printf.sprintf " over %d appends" n
-      | _ -> "")
-  | _ -> ());
+  List.iter
+    (fun (what, key) ->
+      match
+        ( List.assoc_opt (key ^ "_mean_s") journal_fields,
+          List.assoc_opt (key ^ "_count") journal_fields )
+      with
+      | Some (Fl mean), Some (I n) ->
+        Printf.printf "  leader %s: mean=%s over %d\n" what (pretty_time mean) n
+      | _ -> ())
+    [ ("journal append", "journal_append"); ("snapshot write", "ckpt_write") ];
   Array.iter Net.shutdown deployments;
   Array.iter
     (fun dir ->
@@ -1331,7 +1330,7 @@ let streaming () =
         (Sys.readdir dir);
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     ckpt_dirs;
-  (* consistency across the crash: nothing checkpointed was lost, nothing
+  (* consistency across the crash: nothing journaled was lost, nothing
      double-counted *)
   assert (total = !expected);
   (* flat memory: the follower's RSS at the end of the stream is within

@@ -349,10 +349,12 @@ let () =
     merged;
 
   (* --- durability drill: the same SIGKILL, but against a deployment
-     that persists an HMAC-authenticated snapshot after every decision.
-     The restarted follower resumes from its snapshot, so the aggregate
-     collected at the end still covers every value accepted before the
-     crash — nothing lost, nothing double-counted --- *)
+     that fsyncs every decision to an HMAC-chained journal before acking
+     it. Four decisions are far below the compaction threshold, so no
+     snapshot exists yet: the restarted follower recovers by replaying
+     its journal, and the aggregate collected at the end still covers
+     every value accepted before the crash — nothing lost, nothing
+     double-counted --- *)
   let ckpt_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -393,8 +395,8 @@ let () =
   in
   let want = List.fold_left ( + ) 0 (pre_crash @ post_crash) in
   Printf.printf
-    "durability drill: follower killed and restored from snapshot; aggregate %s \
-     (expected %d) — pre-crash shares survived\n"
+    "durability drill: follower killed and restored by journal replay; \
+     aggregate %s (expected %d) — pre-crash shares survived\n"
     (Prio.Bigint.to_string survived) want;
   assert (Prio.Bigint.to_string survived = string_of_int want);
   Net.shutdown d2;

@@ -28,13 +28,12 @@
     a truncated one.
 
     This module also owns the {e decision journal} — the write-ahead log
-    that closes the gap a snapshot leaves open. A snapshot is taken every
-    [checkpoint_every] decisions; a decision made between two snapshots
-    would be lost by a crash, so each server appends every decision
+    that makes each decision durable. Every server appends every decision
     (verdict plus, for accepts, its own truncated share) to an
-    HMAC-chained append-only journal {e before} acknowledging it, and the
-    journal is truncated once a snapshot has absorbed it. Recovery is
-    snapshot + journal suffix:
+    HMAC-chained, fsynced append-only journal {e before} acknowledging
+    it. Snapshots only compact the journal: one is taken at an epoch
+    rotation or once the journal reaches a fixed size, and the journal is
+    then truncated. Recovery is snapshot + journal suffix:
 
     {v
     "PRDJ" ‖ version u8 ‖ server_id u32                        (header)
@@ -475,11 +474,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
                     } ))
           end))
 
-  (** Append one decision record and extend the HMAC chain. With [fsync]
-      (the default) the record is on stable storage before this returns —
-      the write-ahead property the commit ack depends on. *)
-  let journal_append ?(fsync = true) (j : journal) (e : journal_entry) :
-      (unit, error) result =
+  (** Append one decision record, fsync it and extend the HMAC chain: the
+      record is on stable storage before this returns — the write-ahead
+      property the commit ack depends on. *)
+  let journal_append (j : journal) (e : journal_entry) : (unit, error) result =
     if j.jr_closed then Error (Io (j.jr_file ^ ": journal closed"))
     else begin
       let record = journal_record_bytes e in
@@ -495,7 +493,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
               end
             in
             push 0 len;
-            if fsync then Unix.fsync j.jr_fd)
+            Unix.fsync j.jr_fd)
       with
       | Error _ as err -> err
       | Ok () ->
@@ -518,6 +516,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       | Ok () ->
         j.jr_tag <- genesis_tag j.jr_key;
         Ok ()
+
+  let journal_bytes (j : journal) =
+    if j.jr_closed then 0 else Unix.lseek j.jr_fd 0 SEEK_CUR
 
   let journal_close (j : journal) =
     if not j.jr_closed then begin

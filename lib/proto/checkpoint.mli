@@ -2,18 +2,18 @@
 
     The durability half of the streaming deployment: a server's entire
     resumable state is constant-size (accumulator, accepted count, epoch
-    counters, replay-table digest), so it can be checkpointed after every
-    decision and restored after a crash without replaying the stream.
-    Snapshots are keyed from the deployment master secret per server
-    ({!derive_key}); the decoder authenticates before parsing, and
-    corrupted, truncated, stale-epoch, or wrong-key snapshots come back
-    as typed {!error}s so the caller can fall back to a clean epoch
-    restart. Alongside the snapshots lives the per-server {e decision
-    journal}: an HMAC-chained, fsynced write-ahead log of every
+    counters, replay-table digest), so one snapshot compacts any number
+    of journaled decisions and is restored after a crash without
+    replaying the stream. Snapshots are keyed from the deployment master
+    secret per server ({!derive_key}); the decoder authenticates before
+    parsing, and corrupted, truncated, stale-epoch, or wrong-key
+    snapshots come back as typed {!error}s so the caller can fall back to
+    a clean epoch restart. Alongside the snapshots lives the per-server
+    {e decision journal}: an HMAC-chained write-ahead log of every
     accept/reject verdict (plus the server's own truncated share for
-    accepts), appended before a decision is acknowledged and truncated
-    once a snapshot absorbs it — recovery is snapshot + journal suffix,
-    selected by the snapshot's [journal_seq] watermark. See
+    accepts), appended and fsynced before a decision is acknowledged and
+    truncated once a snapshot absorbs it — recovery is snapshot + journal
+    suffix, selected by the snapshot's [journal_seq] watermark. See
     docs/PROTOCOL.md §9 for both byte layouts. *)
 
 type error =
@@ -107,11 +107,14 @@ module Make (F : Prio_field.Field_intf.S) : sig
       chain break before the tail is tampering and fails [Bad_hmac]; a
       journal naming another server is [Malformed]. *)
 
-  val journal_append :
-    ?fsync:bool -> journal -> journal_entry -> (unit, error) result
-  (** Append one record and extend the chain. With [fsync] (default) the
-      record is durable before return — the write-ahead property the
-      commit ack depends on. *)
+  val journal_append : journal -> journal_entry -> (unit, error) result
+  (** Append one record, fsync it and extend the chain: the record is
+      durable before return — the write-ahead property the commit ack
+      depends on. *)
+
+  val journal_bytes : journal -> int
+  (** Current journal file size in bytes (the append offset), header
+      included; 0 once closed. *)
 
   val journal_truncate : journal -> (unit, error) result
   (** Drop every record (a snapshot absorbed them); the chain restarts

@@ -110,8 +110,18 @@ let ignore_sigpipe () =
 
 let default_max_frame_bytes = 16 * 1024 * 1024
 
+(* Journal compaction threshold: once a server's decision journal reaches
+   this many bytes it snapshots and truncates. Together with the snapshot
+   at every epoch rotation this bounds both disk use and restore replay,
+   whatever the vector width. *)
+let journal_compact_bytes = 1 lsl 20
+
+(* Client-side resubmission rounds after a [Commit_pending] verify reply
+   (the leader decided, a follower has not acknowledged its copy) before
+   giving up as rejected. *)
+let max_resubmits = 4
+
 type tuning = {
-  max_frame_bytes : int;  (** reject frames announcing more than this *)
   io_timeout : float;  (** per-frame read/write deadline, seconds *)
   dial_timeout : float;  (** per-connection-establishment deadline *)
   select_tick : float;  (** serve-loop wakeup when idle *)
@@ -125,27 +135,13 @@ type tuning = {
   epoch_size : int;
       (** decisions per replay/idempotency epoch; 0 = never rotate
           (memory then grows with the stream, the pre-streaming mode) *)
-  epoch_max_age_s : float;
-      (** maximum epoch age in seconds before rotation; 0 disables the
-          age trigger. Either trigger closes the epoch, so a trickle of
-          decisions cannot keep replay state resident forever *)
   clock : Prio_obs.Clock.t;
-      (** drives the epoch-age trigger; injectable for tests *)
+      (** times the server's stages, spans and snapshot age; injectable
+          for tests *)
   checkpoint_dir : string option;
-      (** where servers persist snapshots after decisions; [None]
-          disables durability (crash loses the server's state) *)
-  checkpoint_every : int;
-      (** decisions between snapshots; 1 (default) loses nothing across
-          a crash, larger amortizes the write at the cost of losing the
-          tail since the last snapshot *)
-  journal_fsync : bool;
-      (** fsync each decision-journal append before acknowledging it
-          (default). Turning it off trades the write-ahead durability
-          guarantee for speed — only for measuring the fsync overhead *)
-  max_resubmits : int;
-      (** how many times a client resubmits a whole submission after a
-          [Commit_pending] answer (the leader decided, a follower has not
-          acknowledged its copy) before giving up *)
+      (** where servers keep their decision journal and compaction
+          snapshots; [None] disables durability (crash loses the
+          server's state) *)
   trace_dir : string option;
       (** with it set, each server process installs its own span recorder
           (origin ["server<id>"]) and dumps [<trace_dir>/server<id>.jsonl]
@@ -154,7 +150,6 @@ type tuning = {
 
 let default_tuning =
   {
-    max_frame_bytes = default_max_frame_bytes;
     io_timeout = 5.0;
     dial_timeout = 2.0;
     select_tick = 0.25;
@@ -162,12 +157,8 @@ let default_tuning =
     verify_domains = 1;
     max_pending = 1024;
     epoch_size = 0;
-    epoch_max_age_s = 0.;
     clock = Prio_obs.Clock.system;
     checkpoint_dir = None;
-    checkpoint_every = 1;
-    journal_fsync = true;
-    max_resubmits = 4;
     trace_dir = None;
   }
 
@@ -206,19 +197,18 @@ let m_journal_appends = Metrics.counter "prio_journal_appends_total"
 let m_journal_replayed = Metrics.counter "prio_journal_replayed_total"
 let m_journal_truncations = Metrics.counter "prio_journal_truncations_total"
 let m_journal_errors = Metrics.counter "prio_journal_errors_total"
-let h_journal_fsync = Metrics.histogram "prio_journal_fsync_seconds"
+let h_journal_append = Metrics.histogram "prio_journal_append_seconds"
 let m_commit_acks = Metrics.counter "prio_commit_acks_total"
 let m_commit_failures = Metrics.counter "prio_commit_failures_total"
 let m_commit_repairs = Metrics.counter "prio_commit_repairs_total"
 
 (* Per-stage latency histograms: every submission crosses admission →
-   verify → aggregate → checkpoint inside a server process; each stage
-   records its wall time here, and the live scrape ([q] frames) pulls the
-   percentile view out of the running process. *)
+   verify → aggregate inside a server process; each stage records its
+   wall time here, and the live scrape ([q] frames) pulls the percentile
+   view out of the running process. *)
 let h_stage_admit = Metrics.histogram "prio_stage_admit_seconds"
 let h_stage_verify = Metrics.histogram "prio_stage_verify_seconds"
 let h_stage_aggregate = Metrics.histogram "prio_stage_aggregate_seconds"
-let h_stage_checkpoint = Metrics.histogram "prio_stage_checkpoint_seconds"
 
 (* Supervisor view (recorded in the probing process, not the servers):
    how many servers the last probe sweep found broken, and how many
@@ -612,7 +602,7 @@ let probe_rpc ~tuning addr payload ~expect =
         match write_frame ~deadline fd payload with
         | Error e -> Error e
         | Ok () -> (
-          match read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd with
+          match read_frame ~deadline fd with
           | Error e -> Error e
           | Ok reply ->
             if Bytes.length reply = 0 then Error (Bad_frame "empty reply")
@@ -691,8 +681,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       With [tuning.checkpoint_dir] set, the server resumes from its
       latest valid snapshot at startup (rejecting anything corrupted,
       truncated, stale below [restore_min_epoch], or keyed to a different
-      master — those fall back to a clean epoch restart) and persists a
-      new snapshot every [checkpoint_every] decisions. *)
+      master — those fall back to a clean epoch restart), replays the
+      decision-journal suffix past it, and journals every decision
+      before applying it; it snapshots only to compact the journal. *)
   let serve ?(tuning = default_tuning) ?faults ?(restore_min_epoch = 0) cfg
       ~id ~(listen_fd : Unix.file_descr)
       ~(follower_addrs : Unix.sockaddr array) =
@@ -758,8 +749,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
     (* Decision journal: the write-ahead tail the snapshot has not
        absorbed. Opened (and chain-verified) before serving; entries
        past the snapshot's [journal_seq] watermark replay into the
-       running state — that is how a follower killed between journaling
-       a decision and the next snapshot still recovers it. *)
+       running state — that is how a restarted server recovers every
+       decision it made since its last compaction. *)
     let journal : Ckpt.journal option ref = ref None in
     (match tuning.checkpoint_dir with
     | None -> ()
@@ -797,7 +788,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
                     ("client", string_of_int e.Ckpt.j_client) ]
             end)
           entries));
-    let decisions_since_ckpt = ref 0 in
     let last_ckpt_at = ref nan in
     let write_checkpoint () =
       match tuning.checkpoint_dir with
@@ -809,9 +799,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
           ~attrs:[ ("server", string_of_int id) ]
         @@ fun () ->
         match
-          Metrics.time h_stage_checkpoint (fun () ->
-              Metrics.time h_ckpt_write (fun () ->
-                  Ckpt.save ~key:ckpt_key ~dir (Ckpt.of_server state)))
+          Metrics.time h_ckpt_write (fun () ->
+              Ckpt.save ~key:ckpt_key ~dir (Ckpt.of_server state))
         with
         | Ok () ->
           Metrics.incr m_ckpt_writes;
@@ -837,17 +826,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
               [ ("server", string_of_int id);
                 ("error", Checkpoint.string_of_error e) ])
     in
-    (* Record a verdict, then run the durability/flat-memory schedule:
-       rotate the per-submission tables every [epoch_size] decisions — or
-       once the epoch is [epoch_max_age_s] seconds old with at least one
-       decision in it — and snapshot every [checkpoint_every] decisions
-       (a rotation always snapshots, so restarting from it cannot
-       resurrect a closed epoch). *)
-    let epoch_started_at = ref (Clock.now tuning.clock) in
+    (* Rotate the per-submission tables; a rotation always snapshots, so
+       restarting from it cannot resurrect a closed epoch. *)
     let rotate_now () =
       Server.rotate_epoch state;
-      epoch_started_at := Clock.now tuning.clock;
-      decisions_since_ckpt := 0;
       write_checkpoint ();
       (* decisions the rotation aged out can no longer be re-acked, so
          they can no longer be repaired either *)
@@ -857,16 +839,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
             Hashtbl.remove uncommitted client_id)
         (Hashtbl.copy uncommitted)
     in
-    let epoch_expired () =
-      tuning.epoch_max_age_s > 0.
-      && state.Server.decided_in_epoch > 0
-      && Clock.now tuning.clock -. !epoch_started_at >= tuning.epoch_max_age_s
-    in
-    (* Write-ahead the verdict: append to the decision journal (fsynced
-       under the default tuning) before the decision is applied or
-       acknowledged anywhere. Returns [false] only when a live journal
-       could not take the record — the caller decides whether that
-       degrades durability (leader) or availability (follower).
+    (* Write-ahead the verdict: append to the fsynced decision journal
+       before the decision is applied or acknowledged anywhere. Returns
+       [false] only when a live journal could not take the record — the
+       caller decides whether that degrades durability (leader) or
+       availability (follower).
        Idempotent: an already-recorded decision is already journaled. *)
     let journal_decision ~client_id accepted share =
       match !journal with
@@ -880,11 +857,14 @@ module Make (F : Prio_field.Field_intf.S) = struct
               j_client = client_id;
               j_accepted = accepted;
               j_epoch = state.Server.epoch;
-              j_share = (if accepted then share else [||]) }
+              (* replay folds only the truncated prefix; the proof
+                 part of the share is dead weight on disk *)
+              j_share =
+                (if accepted then Array.sub share 0 cfg.trunc_len else [||]) }
           in
           match
-            Metrics.time h_journal_fsync (fun () ->
-                Ckpt.journal_append ~fsync:tuning.journal_fsync j entry)
+            Metrics.time h_journal_append (fun () ->
+                Ckpt.journal_append j entry)
           with
           | Ok () ->
             Metrics.incr m_journal_appends;
@@ -897,20 +877,21 @@ module Make (F : Prio_field.Field_intf.S) = struct
                   ("error", Checkpoint.string_of_error e) ];
             false))
     in
+    (* Record a journaled verdict, then run the flat-memory and
+       compaction schedule: rotate every [epoch_size] decisions, and
+       snapshot (truncating the journal) once the journal reaches
+       [journal_compact_bytes] — restore replays at most that much. *)
     let finish_decision ~client_id verdict =
       ignore (Server.record_decision state ~client_id verdict : bool);
       if
-        (tuning.epoch_size > 0
-        && state.Server.decided_in_epoch >= tuning.epoch_size)
-        || epoch_expired ()
+        tuning.epoch_size > 0
+        && state.Server.decided_in_epoch >= tuning.epoch_size
       then rotate_now ()
-      else begin
-        incr decisions_since_ckpt;
-        if !decisions_since_ckpt >= tuning.checkpoint_every then begin
-          decisions_since_ckpt := 0;
+      else
+        match !journal with
+        | Some j when Ckpt.journal_bytes j >= journal_compact_bytes ->
           write_checkpoint ()
-        end
-      end
+        | Some _ | None -> ()
     in
     let ctx =
       Snip.make_batch_ctx
@@ -986,9 +967,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             drop_follower j;
             Error e
           | Ok () -> (
-            match
-              read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd
-            with
+            match read_frame ~deadline fd with
             | Error e ->
               drop_follower j;
               Error e
@@ -1398,9 +1377,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
     in
     (try
        while true do
-         (* Age-triggered rotation fires from the idle tick too: with no
-            decisions arriving, the epoch still expires on schedule. *)
-         if epoch_expired () then rotate_now ();
          match
            Unix.select (listen_fd :: !conns) [] [] tuning.select_tick
          with
@@ -1417,9 +1393,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                  | exception Unix.Unix_error _ -> ())
                else
                  let deadline = Retry.after tuning.io_timeout in
-                 match
-                   read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd
-                 with
+                 match read_frame ~deadline fd with
                  | Error (Frame_oversize n) ->
                    reply_error fd Too_large (string_of_int n);
                    close_conn fd
@@ -1585,12 +1559,12 @@ module Make (F : Prio_field.Field_intf.S) = struct
 
   (** Revive a dead server on its original port. With
       [tuning.checkpoint_dir] set, the new process resumes from the dead
-      one's latest valid snapshot — mid-collection recovery: accepted
-      submissions up to the last checkpoint survive the crash. Without a
-      checkpoint dir (or when the snapshot is rejected) it starts with
-      fresh per-batch state: shares that lived only in the dead process
-      are lost, but new traffic flows again. [min_epoch] (default 0)
-      refuses authentic-but-stale snapshots from already-closed epochs. *)
+      one's latest valid snapshot plus its journal suffix — mid-collection
+      recovery: every decision the dead process journaled survives the
+      crash. Without a checkpoint dir it starts with fresh per-batch
+      state: shares that lived only in the dead process are lost, but new
+      traffic flows again. [min_epoch] (default 0) refuses
+      authentic-but-stale snapshots from already-closed epochs. *)
   let restart_server ?(min_epoch = 0) d i =
     (match (poll_servers d).(i) with
     | Running -> invalid_arg "Net.restart_server: server still running"
@@ -1742,10 +1716,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
               match send_frame ?faults ~deadline fd payload with
               | Error e -> `Retry e
               | Ok () -> (
-                match
-                  recv_frame ?faults ~deadline
-                    ~max_bytes:tuning.max_frame_bytes fd
-                with
+                match recv_frame ?faults ~deadline fd with
                 | Error e -> `Retry e
                 | Ok reply -> classify_ack reply)))
 
@@ -1756,8 +1727,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
      it: re-push every packet (re-seeding the shares a restarted
      follower lost) and retry the verify so the leader can repair the
      broadcast — up to [max_resubmits] rounds. *)
-  let drive_submission ?(max_resubmits = default_tuning.max_resubmits)
-      ~num_servers ~client_id rpc_to (pk : Client.packets) : outcome =
+  let drive_submission ~num_servers ~client_id rpc_to (pk : Client.packets) :
+      outcome =
     if Array.length pk.Client.sealed <> num_servers then
       invalid_arg "Net.submit_packets: one packet per server required";
     Trace.with_span "net.submit" ~attrs:[ ("client", string_of_int client_id) ]
@@ -1824,8 +1795,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
   let submit_packets_outcome ?faults d ~rng ~client_id
       (pk : Client.packets) : outcome =
     ignore_sigpipe ();
-    drive_submission ~max_resubmits:d.tuning.max_resubmits
-      ~num_servers:d.cfg.num_servers ~client_id
+    drive_submission ~num_servers:d.cfg.num_servers ~client_id
       (fun i payload -> rpc ?faults ~tuning:d.tuning ~rng d.addrs.(i) payload)
       pk
 
@@ -1904,10 +1874,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             drop ();
             `Retry e
           | Ok () -> (
-            match
-              recv_frame ?faults ~deadline ~max_bytes:tuning.max_frame_bytes
-                fd
-            with
+            match recv_frame ?faults ~deadline fd with
             | Error e ->
               drop ();
               `Retry e
@@ -1915,8 +1882,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
 
   let submit_packets_session ?faults (s : session) ~rng ~client_id
       (pk : Client.packets) : outcome =
-    drive_submission ~max_resubmits:s.sdep.tuning.max_resubmits
-      ~num_servers:s.sdep.cfg.num_servers ~client_id
+    drive_submission ~num_servers:s.sdep.cfg.num_servers ~client_id
       (fun i payload -> session_rpc ?faults s ~rng i payload)
       pk
 
@@ -2003,9 +1969,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             match write_frame ~deadline fd (tagged 'Q' Bytes.empty) with
             | Error e -> Error e
             | Ok () -> (
-              match
-                read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd
-              with
+              match read_frame ~deadline fd with
               | Error e -> Error e
               | Ok reply ->
                 if Bytes.length reply < 1 || Bytes.get reply 0 <> 'A' then

@@ -48,11 +48,15 @@ val ignore_sigpipe : unit -> unit
     the process. Idempotent; called by every entry point. *)
 
 val default_max_frame_bytes : int
-(** 16 MiB. *)
+(** 16 MiB: every server and client refuses frames announcing more. *)
+
+val journal_compact_bytes : int
+(** 1 MiB: a durable server snapshots and truncates its decision journal
+    once the journal file reaches this size (and at every epoch
+    rotation), so a restart replays at most this much journal. *)
 
 (** Deployment-wide knobs; tests shrink the timeouts. *)
 type tuning = {
-  max_frame_bytes : int;  (** reject frames announcing more than this *)
   io_timeout : float;  (** per-frame read/write deadline, seconds *)
   dial_timeout : float;  (** per-connection-establishment deadline *)
   select_tick : float;  (** serve-loop wakeup when idle *)
@@ -68,26 +72,14 @@ type tuning = {
       (** decisions per replay/idempotency epoch (default 0 = never
           rotate); setting it keeps server memory flat over unbounded
           streams *)
-  epoch_max_age_s : float;
-      (** maximum epoch age in seconds before rotation (default 0 = no
-          age trigger); either trigger closes the epoch, so a trickle
-          of decisions cannot keep replay state resident forever *)
   clock : Prio_obs.Clock.t;
-      (** drives the epoch-age trigger (default the system clock;
-          injectable for tests) *)
+      (** times server stages, spans and the snapshot age (default the
+          system clock; injectable for tests) *)
   checkpoint_dir : string option;
-      (** snapshot directory (default [None] = durability off); with it
-          set, servers persist after decisions and
-          {!Make.restart_server} resumes mid-collection *)
-  checkpoint_every : int;
-      (** decisions between snapshots (default 1 = lose nothing) *)
-  journal_fsync : bool;
-      (** fsync every decision-journal append before acknowledging it
-          (default [true]); turning it off trades the write-ahead
-          guarantee for throughput in tests and benchmarks *)
-  max_resubmits : int;
-      (** client-side resubmission rounds after a [Commit_pending]
-          verify reply (default 4) before giving up as rejected *)
+      (** durability directory (default [None] = durability off); with it
+          set, every server fsyncs each decision to its journal before
+          acknowledging it, and {!Make.restart_server} resumes
+          mid-collection *)
   trace_dir : string option;
       (** span-dump directory (default [None]); with it set, each server
           process records its spans under origin ["server<id>"] and dumps
@@ -170,8 +162,10 @@ type health = {
   h_pending : int;  (** admission-queue depth (in-flight submissions) *)
   h_accepted : int;  (** submissions folded into the accumulator *)
   h_ckpt_age : float option;
-      (** seconds since the process last wrote a snapshot; [None] when
-          durability is off or nothing has been checkpointed yet *)
+      (** seconds since the process last wrote a compaction snapshot
+          (epoch rotation or full journal); [None] when durability is off
+          or nothing has been compacted yet. Decisions since then are
+          durable in the journal, so a large age is normal *)
   h_peers : (int * bool) list;
       (** leader only: per-follower [(server id, gossip link cached)] —
           [false] means the persistent connection was dropped after a
@@ -219,8 +213,10 @@ module Make (F : Prio_field.Field_intf.S) : sig
       snapshot at startup (rejecting corrupted / truncated / wrong-key
       snapshots and epochs below [restore_min_epoch], falling back to a
       clean start), replays the decision-journal suffix past the
-      snapshot's watermark, and snapshots every [checkpoint_every]
-      decisions (each snapshot truncating the journal). *)
+      snapshot's watermark, and journals (fsynced) every decision before
+      applying or acknowledging it. Snapshots only compact the journal:
+      one is written, and the journal truncated, at every epoch rotation
+      and whenever the journal reaches {!journal_compact_bytes}. *)
 
   type deployment = {
     cfg : config;
@@ -249,9 +245,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val restart_server : ?min_epoch:int -> deployment -> int -> unit
   (** Revive a dead server on its original port. With
       [tuning.checkpoint_dir] set it resumes from the latest valid
-      snapshot (accepted submissions up to the last checkpoint survive);
-      otherwise it restarts with fresh per-batch state. [min_epoch]
-      refuses authentic-but-stale snapshots.
+      snapshot plus the journal suffix past it (every decision it
+      journaled survives); otherwise it restarts with fresh per-batch
+      state. [min_epoch] refuses authentic-but-stale snapshots.
       @raise Invalid_argument if it is still running. *)
 
   (** What a health sweep concluded about one server — strictly more

@@ -488,11 +488,13 @@ let test_admission_busy_shed () =
 let restore_values = [ 3; 7; 15; 0; 9; 4; 12; 1 ]
 
 (* One serial run over [restore_values]; with [crash_at = Some i] the
-   follower is SIGKILLed and restored from its snapshot just before the
-   i-th submission. Returns the decoded aggregate. *)
-let run_with_restore ~crash_at dir =
+   follower is SIGKILLed and restored from its snapshot and journal just
+   before the i-th submission. Returns the decoded aggregate. *)
+let run_with_restore ~epoch_size ~crash_at dir =
   let afe = Sum.sum ~bits:4 in
-  let tuning = NetT.{ fast_tuning with checkpoint_dir = Some dir } in
+  let tuning =
+    NetT.{ fast_tuning with epoch_size; checkpoint_dir = Some dir }
+  in
   with_deployment ~tuning afe (fun d ->
       List.iteri
         (fun i x ->
@@ -518,17 +520,28 @@ let run_with_restore ~crash_at dir =
 
 let test_restore_equals_uninterrupted () =
   let expected = string_of_int (List.fold_left ( + ) 0 restore_values) in
-  with_temp_dir "baseline" @@ fun dir_a ->
-  with_temp_dir "crashed" @@ fun dir_b ->
-  let a = run_with_restore ~crash_at:None dir_a in
-  Alcotest.(check string) "uninterrupted total" expected
-    (Prio_bigint.Bigint.to_string a);
   (* same submissions, but the follower dies after 4 decisions and
-     resumes from its snapshot: nothing accepted before the crash may be
-     lost, nothing may be double-counted *)
-  let b = run_with_restore ~crash_at:(Some 4) dir_b in
-  Alcotest.(check string) "crash+restore equals uninterrupted" expected
-    (Prio_bigint.Bigint.to_string b)
+     resumes: nothing accepted before the crash may be lost, nothing may
+     be double-counted. Without rotation it has no snapshot and recovers
+     from the journal alone; with [epoch_size = 3] it dies one decision
+     into its second epoch and recovers from the rotation snapshot plus
+     the journal suffix. *)
+  List.iter
+    (fun epoch_size ->
+      with_temp_dir "baseline" @@ fun dir_a ->
+      with_temp_dir "crashed" @@ fun dir_b ->
+      let a = run_with_restore ~epoch_size ~crash_at:None dir_a in
+      Alcotest.(check string)
+        (Printf.sprintf "uninterrupted total (epoch_size %d)" epoch_size)
+        expected
+        (Prio_bigint.Bigint.to_string a);
+      let b = run_with_restore ~epoch_size ~crash_at:(Some 4) dir_b in
+      Alcotest.(check string)
+        (Printf.sprintf "crash+restore equals uninterrupted (epoch_size %d)"
+           epoch_size)
+        (Prio_bigint.Bigint.to_string a)
+        (Prio_bigint.Bigint.to_string b))
+    [ 0; 3 ]
 
 let test_restore_chaos_drill () =
   (* seeded crash policy on a follower with checkpointing on: every time
@@ -703,6 +716,86 @@ let test_commit_window_chaos_drill () =
       let sigma = afe.A.decode ~n:!accepted (collect_exn d) in
       Alcotest.(check string) "aggregate matches no-fault run" ref_total
         (Prio_bigint.Bigint.to_string sigma))
+
+(* The value of a plain (label-less) sample in Prometheus text. *)
+let metric_value prom name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' prom)
+  with
+  | Some l ->
+    int_of_float
+      (float_of_string
+         (String.sub l (String.length prefix)
+            (String.length l - String.length prefix)))
+  | None -> Alcotest.failf "metric %s missing from scrape" name
+
+let test_journal_compaction_bounds_replay () =
+  (* A wide vector (1024-bucket histogram, ~11 KB of share per accepted
+     journal record) with no epoch rotation: only the journal-size
+     trigger snapshots. The follower's journal must never outgrow the
+     compaction threshold by more than one record, and a follower killed
+     mid-interval must replay at most one compaction interval. *)
+  let afe = Hist.histogram ~buckets:1024 in
+  with_temp_dir "compact" @@ fun dir ->
+  let tuning = NetT.{ fast_tuning with checkpoint_dir = Some dir } in
+  let journal_file =
+    Prio_proto.Checkpoint.journal_path ~dir ~server_id:1
+  in
+  let journal_size () = (Unix.stat journal_file).Unix.st_size in
+  with_deployment ~tuning afe (fun d ->
+      let counts = Array.make 1024 0 and n = ref 0 in
+      let submit () =
+        let x = !n * 37 mod 1024 in
+        Alcotest.(check bool)
+          (Printf.sprintf "accepted %d" !n)
+          true
+          (Net.submit d ~rng ~client_id:!n (afe.A.encode ~rng x));
+        counts.(x) <- counts.(x) + 1;
+        incr n
+      in
+      (* measure one accepted record on disk instead of assuming the
+         layout *)
+      submit ();
+      let after_one = journal_size () in
+      submit ();
+      let record_bytes = journal_size () - after_one in
+      let interval = NetT.journal_compact_bytes / record_bytes in
+      (* one full compaction interval, then half of the next *)
+      while !n < interval + (interval / 2) do
+        submit ();
+        let size = journal_size () in
+        if size > NetT.journal_compact_bytes + record_bytes then
+          Alcotest.failf "journal holds %d bytes after %d decisions" size !n
+      done;
+      let prom1 = ok_exn (NetT.scrape_metrics ~tuning d.Net.addrs.(1)) in
+      Alcotest.(check bool) "the journal-size trigger compacted" true
+        (metric_value prom1 "prio_journal_truncations_total" >= 1);
+      Unix.kill d.Net.pids.(1) Sys.sigkill;
+      let rec wait_dead k =
+        match (Net.poll_servers d).(1) with
+        | Net.Exited _ -> ()
+        | Net.Running ->
+          if k = 0 then Alcotest.fail "follower ignored SIGKILL";
+          Unix.sleepf 0.01;
+          wait_dead (k - 1)
+      in
+      wait_dead 200;
+      Net.restart_server d 1;
+      submit ();
+      let replayed =
+        metric_value
+          (ok_exn (NetT.scrape_metrics ~tuning d.Net.addrs.(1)))
+          "prio_journal_replayed_total"
+      in
+      if replayed = 0 || replayed > interval then
+        Alcotest.failf "replayed %d journal records; one interval is %d"
+          replayed interval;
+      Alcotest.(check (array int)) "aggregate survives compaction + restore"
+        counts
+        (afe.A.decode ~n:!n (collect_exn d)))
 
 let test_degraded_abort_idempotent () =
   (* Regression for the degraded-abort hole: when a follower dies
@@ -1002,6 +1095,8 @@ let () =
             test_commit_window_chaos_drill;
           Alcotest.test_case "degraded abort journaled and idempotent" `Quick
             test_degraded_abort_idempotent;
+          Alcotest.test_case "journal compaction bounds replay" `Quick
+            test_journal_compaction_bounds_replay;
         ] );
       ( "telemetry",
         [
